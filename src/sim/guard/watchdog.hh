@@ -56,7 +56,8 @@ struct WatchdogHooks
     std::function<void(const std::string &)> abort;
 };
 
-/** Current resident-set size in MiB (0 when unavailable). */
+/** Current resident-set size in MiB (0 when unavailable).
+ *  Async-signal-safe: the flight recorder's crash handler calls it. */
 std::uint64_t currentRssMb();
 
 class Watchdog

@@ -17,6 +17,7 @@
 #include <memory>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "obs/categories.hh"
 #include "sim/guard/checkers.hh"
@@ -300,6 +301,18 @@ TEST(Watchdog, DisabledParamsStartNoThread)
     EXPECT_FALSE(dog.fired());
     EXPECT_EQ(probe.aborts.load(), 0);
 }
+
+#if defined(__linux__)
+TEST(Watchdog, CurrentRssMbTracksTouchedMemory)
+{
+    std::uint64_t before = guard::currentRssMb();
+    EXPECT_GT(before, 0u);
+    std::vector<char> block(32u << 20, 1); // 32 MiB, every page written
+    std::uint64_t after = guard::currentRssMb();
+    EXPECT_GE(after, before + 24) << "before " << before << " MiB";
+    EXPECT_EQ(block[block.size() / 2], 1);
+}
+#endif
 
 // ---- WindowBarrier teardown ------------------------------------------
 
